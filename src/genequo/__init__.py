@@ -12,6 +12,7 @@ from .geometry import (
     PlusCone,
     PolyhedralCone,
     SetRep,
+    ball_excess,
     cone_as_setrep,
     dist_to_cone,
     dist_to_set,

@@ -22,9 +22,9 @@ from . import geometry, increase, mappings, penalty as penalty_mod, solver, veco
 from .expr import ExpressionError, compile_expression, vector_variables
 from .geometry import NonnegHalfLine, NonposHalfLine, Orthant, PolyhedralCone
 from .increase import CertificationRefused
+from .sampling import DEFAULT_SEED
 
 FORMAT_VERSION = 1
-DEFAULT_SEED = 42
 
 _MATRIX = {"type": "array", "minItems": 1,
            "items": {"type": "array", "minItems": 1, "items": {"type": "number"}}}

@@ -13,11 +13,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import nnls
 
 from .sampling import DEFAULT_SEED, cone_ray_directions, sphere_directions
 
 EPS_PROJ = 1e-10
-MAX_PROJ_SWEEPS = 10_000
+# Face slack, relative to |y|, within which a point counts as a member of a
+# polyhedral cone: rounding in A @ y reaches a few ulps of |y|.
+EPS_MEMBER = 1e-12
 DEFAULT_ORACLE_SAMPLES = 4096
 
 # Provenance tags carried by every computed excess.
@@ -30,10 +33,6 @@ EMPTY_TARGET = "empty-target"
 
 class DimensionMismatch(ValueError):
     """Operands live in different ambient dimensions."""
-
-
-class ProjectionError(RuntimeError):
-    """Iterative cone projection failed to converge."""
 
 
 def as_vector(y, dim: Optional[int] = None) -> np.ndarray:
@@ -70,9 +69,14 @@ def as_point_array(points, dim: Optional[int] = None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class Cone:
-    """A nonempty closed convex cone in R^m with exact nearest-point projection."""
+    """A nonempty closed convex cone in R^m with exact nearest-point projection.
+
+    ``normals`` holds the unit outward face normals, one per row, so that the
+    cone is {y : normals @ y <= 0}.
+    """
 
     dim: int
+    normals: np.ndarray
 
     def project(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -88,13 +92,12 @@ class Cone:
     def contains(self, y, tol: float = EPS_PROJ) -> bool:
         return self.distance(y) <= tol
 
-    def depth(self, z: np.ndarray) -> Optional[float]:
-        """Largest t with B(z, t) contained in the cone; None if unsupported.
+    def depth(self, z) -> float:
+        """Largest t with B(z, t) contained in the cone; negative when z is outside.
 
-        Negative when z is outside.  Only cones with an exact cheap formula
-        implement this; it is the basis of certified inclusion checks.
+        Inside the cone this is the distance to the nearest face hyperplane.
         """
-        return None
+        return float(np.min(-(self.normals @ as_vector(z, self.dim))))
 
 
 @dataclass(eq=False)
@@ -106,6 +109,7 @@ class Orthant(Cone):
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("orthant dimension must be >= 1")
+        self.normals = -np.eye(self.dim)
 
     def project(self, y):
         return np.maximum(as_vector(y, self.dim), 0.0)
@@ -118,15 +122,13 @@ class Orthant(Cone):
         pts = as_point_array(points, self.dim)
         return np.linalg.norm(np.minimum(pts, 0.0), axis=1)
 
-    def depth(self, z):
-        return float(np.min(as_vector(z, self.dim)))
-
 
 @dataclass(eq=False)
 class NonnegHalfLine(Cone):
     """The half-line [0, +inf) as a cone in R^1."""
 
     dim: int = field(default=1, init=False)
+    normals = np.array([[-1.0]])
 
     def project(self, y):
         return np.maximum(as_vector(y, 1), 0.0)
@@ -138,15 +140,13 @@ class NonnegHalfLine(Cone):
         pts = as_point_array(points, 1)
         return np.maximum(-pts[:, 0], 0.0)
 
-    def depth(self, z):
-        return float(as_vector(z, 1)[0])
-
 
 @dataclass(eq=False)
 class NonposHalfLine(Cone):
     """The half-line (-inf, 0] as a cone in R^1."""
 
     dim: int = field(default=1, init=False)
+    normals = np.array([[1.0]])
 
     def project(self, y):
         return np.minimum(as_vector(y, 1), 0.0)
@@ -158,18 +158,14 @@ class NonposHalfLine(Cone):
         pts = as_point_array(points, 1)
         return np.maximum(pts[:, 0], 0.0)
 
-    def depth(self, z):
-        return float(-as_vector(z, 1)[0])
-
 
 @dataclass(eq=False)
 class PolyhedralCone(Cone):
-    """Cone {y : A y <= 0}, projected by Dykstra's alternating scheme.
+    """Cone {y : A y <= 0}, projected exactly through Moreau's decomposition.
 
-    Each row of A defines a half-space through the origin; cyclic projection
-    with Dykstra corrections converges to the exact nearest point.  Tolerance
-    ``EPS_PROJ`` on the iterate displacement, at most ``MAX_PROJ_SWEEPS``
-    sweeps.
+    The polar cone is cone(A^T), so y = P(y) + A^T lam with lam the
+    nonnegative least-squares solution of A^T lam ~ y (Lawson-Hanson
+    active set, finite).
     """
 
     matrix: np.ndarray
@@ -182,7 +178,7 @@ class PolyhedralCone(Cone):
         if np.any(norms < 1e-14):
             raise ValueError("constraint rows must be nonzero")
         self.matrix = A
-        self._row_norms_sq = norms ** 2
+        self.normals = A / norms[:, None]
 
     @property
     def dim(self) -> int:  # type: ignore[override]
@@ -190,27 +186,12 @@ class PolyhedralCone(Cone):
 
     def project(self, y):
         y = as_vector(y, self.dim)
-        A = self.matrix
-        if np.all(A @ y <= 0.0):
+        # Members up to rounding are returned as they are: NNLS started from a
+        # rounding-level gradient can end far from the projection.
+        if np.all(self.normals @ y <= EPS_MEMBER * np.linalg.norm(y)):
             return y.copy()
-        x = y.copy()
-        corrections = np.zeros_like(A)
-        for _ in range(MAX_PROJ_SWEEPS):
-            x_prev = x.copy()
-            for i in range(A.shape[0]):
-                z = x + corrections[i]
-                viol = A[i] @ z
-                if viol > 0.0:
-                    step = (viol / self._row_norms_sq[i]) * A[i]
-                else:
-                    step = np.zeros_like(z)
-                x = z - step
-                corrections[i] = step
-            if np.linalg.norm(x - x_prev) <= EPS_PROJ:
-                if np.all(A @ x <= math.sqrt(EPS_PROJ)):
-                    return x
-        raise ProjectionError(
-            f"polyhedral projection did not converge in {MAX_PROJ_SWEEPS} sweeps")
+        A = self.matrix
+        return y - A.T @ nnls(A.T, y)[0]
 
 
 def same_cone(c1: Cone, c2: Cone) -> bool:
@@ -246,12 +227,31 @@ def cone_sanity_probe(cone: Cone, n_samples: int = 64, seed: int = DEFAULT_SEED,
 
 
 def project_to_cone(y, cone: Cone) -> np.ndarray:
-    """Nearest point of the cone; exact for orthants/half-lines, iterative otherwise."""
+    """Nearest point of the cone; exact for every cone variant."""
     return cone.project(as_vector(y, cone.dim))
 
 
 def dist_to_cone(y, cone: Cone) -> float:
     return cone.distance(as_vector(y, cone.dim))
+
+
+def ball_excess(z, s: float, cone: Cone) -> tuple[float, np.ndarray]:
+    """Exact sup of dist(., cone) over the ball B(z, s), and a point attaining it.
+
+    Outside the cone the sup is dist(z, cone) + s, attained along z - P(z).
+    Inside it is (s - depth(z))_+: B(z, depth) lies in the cone, and stepping
+    s along the normal of the nearest face gets that far from its hyperplane.
+    Within EPS_PROJ of the cone z - P(z) is too small to give a direction
+    (rounding, underflow), so the face normal is used there as well; it
+    realises the value up to EPS_PROJ.
+    """
+    z = as_vector(z, cone.dim)
+    gap = z - cone.project(z)
+    d = float(np.linalg.norm(gap))
+    value = d + s if d > 0.0 else max(0.0, s - cone.depth(z))
+    if d > EPS_PROJ * max(1.0, float(np.linalg.norm(z))):
+        return value, z + s * gap / d
+    return value, z + s * cone.normals[int(np.argmax(cone.normals @ z))]
 
 
 def orthant_depth(w, q) -> float:
@@ -508,21 +508,14 @@ def _strip_same_cone(s: SetRep, cone: Cone) -> SetRep:
     return s
 
 
-def _outward_point(y: np.ndarray, cone: Cone, step: float) -> np.ndarray:
-    p = cone.project(y)
-    gap = np.linalg.norm(y - p)
-    return y + step * (y - p) / gap
-
-
 def excess_to_cone(s: SetRep, cone: Cone, n_dirs: int = DEFAULT_ORACLE_SAMPLES,
                    seed: int = DEFAULT_SEED) -> ExcessValue:
     """Excess of a represented set over a cone, closed form where available.
 
     Sums with the target cone are erased first (they never change the
-    excess).  Finite clouds evaluate exactly; balls and enlargements whose
-    base excess is positive use the additive identity value + radius.  A ball
-    centered inside the cone, or an enlargement of a subset of the cone, has
-    no closed form and is sampled, with the result tagged as a lower bound.
+    excess).  Finite clouds evaluate exactly; balls and enlargements of
+    finite clouds take the largest ``ball_excess`` over their centers.  Only
+    a sum with a different cone is sampled, tagged as a lower bound.
     """
     s = normalize(s)
     if s.dim != cone.dim:
@@ -537,27 +530,13 @@ def excess_to_cone(s: SetRep, cone: Cone, n_dirs: int = DEFAULT_ORACLE_SAMPLES,
         return ExcessValue(float(dists[k]), s.points[k].copy(), FINITE_MAX)
 
     if isinstance(s, Ball):
-        d0 = cone.distance(s.center)
-        if d0 > 0.0:
-            attained = _outward_point(s.center, cone, s.radius)
-            return ExcessValue(d0 + s.radius, attained, CLOSED_FORM)
-        if s.radius == 0.0:
-            return ExcessValue(0.0, s.center.copy(), FINITE_MAX)
-        return excess_sampled(s, cone_as_setrep(cone), n_dirs=n_dirs, seed=seed)
+        value, attained = ball_excess(s.center, s.radius, cone)
+        return ExcessValue(value, attained, CLOSED_FORM if s.radius > 0.0 else FINITE_MAX)
 
-    if isinstance(s, Enlargement):
-        base_exc = excess_to_cone(s.base, cone, n_dirs=n_dirs, seed=seed)
-        if base_exc.value == -math.inf:
-            return base_exc
-        if base_exc.value > 0.0:
-            attained = None
-            if base_exc.attained_at is not None:
-                attained = _outward_point(base_exc.attained_at, cone, s.r)
-            method = CLOSED_FORM if base_exc.exact else SAMPLED
-            return ExcessValue(base_exc.value + s.r, attained, method,
-                               n_samples=base_exc.n_samples)
-        # Base inside the cone: additivity needs positive base excess.
-        return excess_sampled(s, cone_as_setrep(cone), n_dirs=n_dirs, seed=seed)
+    if isinstance(s, Enlargement) and isinstance(s.base, FinitePoints):
+        value, attained = max((ball_excess(p, s.r, cone) for p in s.base.points),
+                              key=lambda exc: exc[0])
+        return ExcessValue(value, attained, CLOSED_FORM)
 
     # Sum with a different cone: unbounded set, sampled lower bound only.
     return excess_sampled(s, cone_as_setrep(cone), n_dirs=n_dirs, seed=seed)
@@ -568,8 +547,8 @@ def excess(s1: SetRep, s2: SetRep, n_dirs: int = DEFAULT_ORACLE_SAMPLES,
     """Excess of s1 over s2: sup over s1 of the distance to s2.
 
     Exact for a finite left cloud over any representable target, and for any
-    left set over a cone written as a set; other combinations report a
-    sampled lower bound.  An empty right argument yields +inf; an empty left
+    left set over a cone written as a set unless it sums a different cone;
+    other combinations report a sampled lower bound.  An empty right argument yields +inf; an empty left
     argument is vacuous (-inf).
     """
     s1 = normalize(s1)

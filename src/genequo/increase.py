@@ -20,6 +20,7 @@ from .geometry import (
     Orthant,
     PlusCone,
     as_vector,
+    ball_excess,
     dist_to_set,
     flatten_setrep,
     normalize,
@@ -223,25 +224,13 @@ class InclusionCheck:
     note: str = ""
 
 
-def _ball_excess_over_translate(z: np.ndarray, s: float, cone: Cone) -> Optional[float]:
-    """Exact sup of dist(., cone) over the ball B(z, s), or None if unavailable.
-
-    For z outside the cone the sup is dist(z, cone) + s; inside, it is
-    (s - depth)_+ where depth is how deep z sits (exact for orthant-family
-    cones, which are the only ones exposing a depth).
-    """
-    d = cone.distance(z)
-    if d > 0.0:
-        return d + s
-    depth = cone.depth(z)
-    if depth is None:
-        return None
-    return max(0.0, s - depth)
-
-
 def _certified_at(F: SetValuedMap, cone: Cone, x: np.ndarray, u: np.ndarray,
                   r: float, a: float, tol: float = 1e-12) -> bool:
-    """Exact sufficient test pairing each generator of F(u) with one of F(x)."""
+    """Exact sufficient test pairing each generator of F(u) with one of F(x).
+
+    B(w, s) lies in the t-enlargement of q + cone exactly when the ball
+    excess of w - q over the cone is at most t; this holds for every cone.
+    """
     gens_u, infl_u, cone_u = flatten_setrep(evaluate(F, u))
     gens_x, infl_x, cone_x = flatten_setrep(evaluate(F, x))
     if cone_u is not None and not same_cone(cone_u, cone):
@@ -254,10 +243,7 @@ def _certified_at(F: SetValuedMap, cone: Cone, x: np.ndarray, u: np.ndarray,
     for w in gens_u:
         best = math.inf
         for q in gens_x:
-            exc = _ball_excess_over_translate(w - q, s, cone)
-            if exc is None:
-                return False
-            best = min(best, exc)
+            best = min(best, ball_excess(w - q, s, cone)[0])
             if best <= t + tol * scale:
                 break
         if best > t + tol * scale:
@@ -297,7 +283,7 @@ def check_increase_inclusion(F: SetValuedMap, cone: Cone, x, r: float, a: float,
 
     Searches candidate steps u in the closed ball B(x, r) (an explicit
     witness first, then sampled sphere points).  A candidate certifies via
-    the exact generator-pairing test (orthant-family cones only); it is
+    the exact generator-pairing test, available for every cone; it is
     refuted when a sampled point of the enlarged image provably escapes the
     enlarged target.  ``refuted`` overall only means no sampled candidate
     works; anything else that fails to certify is inconclusive.
@@ -323,8 +309,7 @@ def check_increase_inclusion(F: SetValuedMap, cone: Cone, x, r: float, a: float,
     if not cands:
         return InclusionCheck(INCONCLUSIVE, note="no admissible candidate step")
 
-    allow_depth = mode in ("auto", "depth") and cone.depth(np.zeros(cone.dim)) is not None
-    if allow_depth:
+    if mode in ("auto", "depth"):
         for u in cands:
             if _certified_at(F, cone, x, u, r, a):
                 return InclusionCheck(CERTIFIED, u=u, n_candidates=len(cands))

@@ -35,16 +35,6 @@ def sphere_directions(dim: int, count: int, seed: int = DEFAULT_SEED) -> np.ndar
     return z / norms[:, None]
 
 
-def ball_points(center: np.ndarray, radius: float, count: int,
-                seed: int = DEFAULT_SEED,
-                fractions: tuple[float, ...] = (1.0,)) -> np.ndarray:
-    """Points of the closed ball B(center, radius) at the given radial fractions."""
-    center = np.asarray(center, dtype=float)
-    dirs = sphere_directions(center.size, count, seed=seed)
-    layers = [center + radius * f * dirs for f in fractions]
-    return np.concatenate(layers, axis=0)
-
-
 def cone_ray_directions(cone, count: int, seed: int = DEFAULT_SEED) -> np.ndarray:
     """Unit directions inside a cone, from projected sphere samples.
 

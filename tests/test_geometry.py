@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import nnls
 
 from genequo.geometry import (
     Ball,
@@ -15,6 +16,7 @@ from genequo.geometry import (
     Orthant,
     PlusCone,
     PolyhedralCone,
+    ball_excess,
     cone_as_setrep,
     cone_sanity_probe,
     dist_to_cone,
@@ -67,6 +69,97 @@ def test_polyhedral_projection_variational_inequality():
         assert np.all(cone.matrix @ p <= 1e-8)
         for z in members:
             assert (y - p) @ (z - p) <= 1e-7
+
+
+# Cones with a nearly redundant face: (rows, point, exact projection by NNLS).
+# Iterating half-space projections until a tolerance ran out of sweeps on
+# each of them.
+NEAR_REDUNDANT_PROBES = [
+    ([[-0.700145, -0.345908, -0.624616], [-0.219857, -0.975023, -0.031499],
+      [0.682061, -0.725846, 0.089105], [0.495031, -0.5801, -0.64686],
+      [-0.203328, 0.126811, -0.970864]],
+     [1.669155, -1.932129, -2.088094],
+     [0.008405602057, 0.007826594265, -0.000586175898]),
+    ([[0.240137, 0.221379, 0.945159], [0.252684, -0.624486, 0.739031],
+      [0.048308, -0.998761, 0.011913], [-0.949296, -0.208199, 0.235563],
+      [-0.609869, 0.25903, 0.748975]],
+     [0.46016, -1.268544, 1.349101],
+     [0.0, 0.0, 0.0]),
+    ([[0.4934, 0.404609, 0.769966], [0.949747, 0.31113, 0.034341],
+      [0.696132, 0.026393, -0.717428], [-0.210013, 0.891768, -0.400804],
+      [-0.067819, 0.931373, 0.357693]],
+     [0.652092, 0.227291, 0.043211],
+     [0.0, 0.0, 0.0]),
+]
+
+
+@pytest.mark.parametrize("rows, y, expected", NEAR_REDUNDANT_PROBES)
+def test_projection_with_near_redundant_faces(rows, y, expected):
+    A, y = np.array(rows), np.array(y)
+    p = PolyhedralCone(A).project(y)
+    assert np.linalg.norm(p - expected) <= 1e-9
+    assert np.all(A @ p <= 1e-9)
+    assert abs(p @ (y - p)) <= 1e-9
+
+
+@st.composite
+def polyhedral_cones(draw):
+    """Random cones {y : A y <= 0} in R^2..R^4, degenerate ones included.
+
+    Entries on a 1/16 grid still give repeated, opposite and dependent rows
+    (flats, lineality spaces, the cone {0}) but keep the conditioning of the
+    rows bounded, so the 1e-9 tolerances below measure the algorithm.
+    """
+    m = draw(st.integers(2, 4))
+    entry = st.integers(-16, 16).map(lambda v: v / 16)
+    row = st.lists(entry, min_size=m, max_size=m).filter(lambda r: any(r))
+    return PolyhedralCone(draw(st.lists(row, min_size=1, max_size=6)))
+
+
+def points(m):
+    return st.lists(st.floats(-5, 5), min_size=m, max_size=m).map(np.array)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cone=polyhedral_cones(), data=st.data())
+def test_moreau_decomposition(cone, data):
+    # y = P(y) + v with P(y) in the cone, v in the polar cone(A^T), P(y) . v = 0
+    y = data.draw(points(cone.dim))
+    p = cone.project(y)
+    v = y - p
+    tol = 1e-9 * max(1.0, np.linalg.norm(y))
+    assert np.all(cone.matrix @ p <= tol)
+    assert nnls(cone.matrix.T, v)[1] <= tol
+    assert abs(p @ v) <= tol
+
+
+@settings(max_examples=100, deadline=None)
+@given(cone=polyhedral_cones(), data=st.data(), s=st.floats(0, 3),
+       onto_cone=st.booleans())
+def test_ball_excess_is_exact(cone, data, s, onto_cone):
+    z = data.draw(points(cone.dim))
+    if onto_cone:
+        z = cone.project(z)
+    value, attained = ball_excess(z, s, cone)
+    tol = 1e-9 * max(1.0, np.linalg.norm(z) + s)
+    assert np.linalg.norm(attained - z) <= s + tol
+    assert abs(cone.distance(attained) - value) <= tol
+    sampled = excess_sampled(Ball(z, s), cone_as_setrep(cone), n_dirs=64)
+    assert sampled.value <= value + tol
+
+
+@settings(max_examples=50, deadline=None)
+@given(m=st.integers(1, 4), data=st.data(), s=st.floats(0, 3))
+def test_polyhedral_minus_identity_is_the_orthant(m, data, s):
+    y = data.draw(points(m))
+    orthant, poly = Orthant(m), PolyhedralCone(-np.eye(m))
+    assert np.allclose(poly.project(y), orthant.project(y), rtol=0, atol=1e-12)
+    assert poly.depth(y) == orthant.depth(y)
+    (v_poly, at_poly), (v_orth, at_orth) = ball_excess(y, s, poly), ball_excess(y, s, orthant)
+    assert v_poly == pytest.approx(v_orth, abs=1e-12)
+    # attaining points need not coincide, but both must realise the value
+    for attained in (at_poly, at_orth):
+        assert orthant.distance(attained) == pytest.approx(v_orth, abs=1e-9)
 
 
 def test_dist_examples():
@@ -218,16 +311,19 @@ def test_enlargement_excess_additive_law_random():
         assert res.value == pytest.approx(base.value + r, abs=1e-12)
 
 
-def test_ball_inside_cone_is_sampled_lower_bound():
+def test_ball_inside_cone_is_closed_form():
+    # (radius - depth)_+: zero deep inside, 0.5 when the ball pokes out by 0.5;
+    # an enlarged cloud takes the shallowest of its points
     cone = Orthant(2)
-    res = excess_to_cone(Ball([5.0, 5.0], 1.0), cone)
-    assert res.method == "sampled-lower-bound"
-    assert res.n_samples > 0
-    # deep interior: every ball point stays in the cone
-    assert res.value == pytest.approx(0.0, abs=1e-12)
-    shallow = excess_to_cone(Ball([0.5, 5.0], 1.0), cone)
-    assert shallow.method == "sampled-lower-bound"
-    assert 0.0 < shallow.value <= 0.5 + 1e-9
+    cases = ((Ball([5.0, 5.0], 1.0), 0.0), (Ball([0.5, 5.0], 1.0), 0.5),
+             (Enlargement(FinitePoints([[1.0, 3.0], [4.0, 4.0]]), 2.0), 1.0))
+    for s, expected in cases:
+        res = excess_to_cone(s, cone)
+        assert res.value == expected
+        assert res.method == "closed-form"
+        assert cone.distance(res.attained_at) == pytest.approx(res.value, abs=1e-9)
+        oracle = excess_sampled(s, cone_as_setrep(cone))
+        assert oracle.value <= res.value + 1e-12
 
 
 def test_scaling_inequality_toward_cone():

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from genequo.geometry import NonnegHalfLine, NonposHalfLine, Orthant
+from genequo.geometry import NonnegHalfLine, NonposHalfLine, Orthant, PolyhedralCone
 from genequo.increase import (
     CERTIFIED,
     INCONCLUSIVE,
@@ -203,6 +205,35 @@ def test_check_modes():
     chk = check_increase_inclusion(F, cone, [1.0], 0.5, 1.9, mode="depth")
     assert chk.verdict == CERTIFIED
     chk = check_increase_inclusion(F, cone, [1.0], 0.5, 2.1, mode="depth")
+    assert chk.verdict == INCONCLUSIVE
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(1, 3), n=st.integers(1, 2), data=st.data(),
+       r=st.floats(0.1, 2.0), a=st.floats(1.05, 4.0))
+def test_polyhedral_minus_identity_verdicts_match_orthant(m, n, data, r, a):
+    entries = st.floats(-3, 3)
+    M = np.array(data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                    min_size=m, max_size=m)))
+    x = np.array(data.draw(st.lists(entries, min_size=n, max_size=n)))
+    verdicts = []
+    for cone in (Orthant(m), PolyhedralCone(-np.eye(m))):
+        F = affine_plus_cone(M, cone)
+        chk = check_increase_inclusion(F, cone, x, r, a, n_candidates=8, n_probe=16)
+        verdicts.append(chk.verdict)
+    assert verdicts[0] == verdicts[1]
+
+
+def test_polyhedral_cone_certifies_exactly():
+    # x -> {(2x, 2x)} + C with C the wedge between y2 = y1/2 and y2 = 2 y1.
+    # The step u = x + r puts (2r, 2r) at depth 2r/sqrt(5) in C, so the
+    # pairing test holds exactly while a <= 1 + 2/sqrt(5) ~ 1.894.
+    cone = PolyhedralCone([[1.0, -2.0], [-2.0, 1.0]])
+    F = affine_plus_cone([[2.0], [2.0]], cone)
+    chk = check_increase_inclusion(F, cone, [0.0], 0.5, 1.85, mode="depth")
+    assert chk.verdict == CERTIFIED
+    assert chk.u == pytest.approx([0.5])
+    chk = check_increase_inclusion(F, cone, [0.0], 0.5, 1.95, mode="depth")
     assert chk.verdict == INCONCLUSIVE
 
 
